@@ -19,7 +19,7 @@ GATETHRESHOLD ?= 1.25
 # stable at -benchtime 1x while skipping microsecond-scale noise.
 GATEMIN ?= 2ms
 
-.PHONY: all build test race vet fmt analyze bench bench-short benchjson perfgate print-benchjson cluster-test cover apicheck apisnapshot clean-data ci
+.PHONY: all build test race vet fmt analyze bench bench-short benchjson perfgate print-benchjson cluster-test cover apicheck apisnapshot benchcheck clean-data ci
 
 all: build
 
@@ -115,5 +115,11 @@ clean-data:
 	rm -rf ./data ./*.data
 	rm -f coverage.out coverage.html .api.current.txt
 
+## benchcheck: vet and test the srbench benchmark module. It is a separate
+## Go module (replace stablerank => ../), so the root `go build ./...` never
+## compiles it; this catches a library change that breaks the benchmark.
+benchcheck:
+	cd srbench && $(GO) vet ./... && $(GO) test ./...
+
 ## ci: everything the CI workflow's core job runs
-ci: build fmt vet analyze test race apicheck
+ci: build fmt vet analyze test race apicheck benchcheck

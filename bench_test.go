@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's evaluation (Figures 7-21) at
-// testing.B scale, one benchmark (or family) per figure, plus the ablations
-// DESIGN.md calls out. cmd/benchfig runs the same experiments at full size
-// with narrative output; these benches keep per-iteration cost low enough
+// testing.B scale, one benchmark (or family) per figure, plus the design
+// ablations `benchfig -h` lists. cmd/benchfig runs the same experiments at
+// full size with narrative output; these benches keep per-iteration cost low enough
 // for `go test -bench=. -benchmem`.
 package stablerank_test
 
@@ -46,28 +46,20 @@ func benchEqual(d int) []float64 {
 	return w
 }
 
-func benchPool(roi geom.Region, n int, seed int64) []geom.Vector {
+func benchPool(roi geom.Region, n int, seed int64) vecmat.Matrix {
 	s, err := sampling.ForRegion(roi, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		panic(err)
 	}
-	pool := make([]geom.Vector, n)
-	for i := range pool {
+	pool := vecmat.New(n, roi.Dim())
+	for i := 0; i < n; i++ {
 		w, err := s.Sample()
 		if err != nil {
 			panic(err)
 		}
-		pool[i] = w
+		pool.SetRow(i, w)
 	}
 	return pool
-}
-
-func clonePool(pool []geom.Vector) []geom.Vector {
-	out := make([]geom.Vector, len(pool))
-	for i, w := range pool {
-		out[i] = w.Clone()
-	}
-	return out
 }
 
 // BenchmarkFig07CSMetricsEnumerateAll: full exact enumeration of every
@@ -115,9 +107,9 @@ func BenchmarkFig09FIFAGetNextMD(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		own := clonePool(pool)
+		own := pool.Clone()
 		b.StartTimer()
-		engine, err := md.NewEngine(ds, cone, own, md.SamplePartition)
+		engine, err := md.NewEngineMatrix(ds, cone, own, md.SamplePartition)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +195,7 @@ func BenchmarkFig12SVMD(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := md.Verify(ctx, ds, r, pool); err != nil {
+				if _, err := md.VerifyMatrix(ctx, ds, r, pool); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -213,15 +205,15 @@ func BenchmarkFig12SVMD(b *testing.B) {
 
 // mdTopTen runs engine construction plus ten GET-NEXT calls, the unit of
 // Figures 13-15.
-func mdTopTen(b *testing.B, ds *dataset.Dataset, cone geom.Cone, pool []geom.Vector) {
+func mdTopTen(b *testing.B, ds *dataset.Dataset, cone geom.Cone, pool vecmat.Matrix) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		own := clonePool(pool)
+		own := pool.Clone()
 		b.StartTimer()
-		engine, err := md.NewEngine(ds, cone, own, md.SamplePartition)
+		engine, err := md.NewEngineMatrix(ds, cone, own, md.SamplePartition)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -446,9 +438,9 @@ func BenchmarkAblationPassThrough(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				own := clonePool(pool)
+				own := pool.Clone()
 				b.StartTimer()
-				engine, err := md.NewEngine(ds, cone, own, m.mode)
+				engine, err := md.NewEngineMatrix(ds, cone, own, m.mode)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -519,9 +511,9 @@ func BenchmarkAblationDelayedVsFull(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			own := clonePool(pool)
+			own := pool.Clone()
 			b.StartTimer()
-			engine, err := md.NewEngine(ds, cone, own, md.SamplePartition)
+			engine, err := md.NewEngineMatrix(ds, cone, own, md.SamplePartition)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -535,7 +527,7 @@ func BenchmarkAblationDelayedVsFull(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			own := clonePool(pool)
+			own := pool.Clone()
 			b.StartTimer()
 			if _, err := md.FullArrangement(ctx, ds, cone, own, 0); err != nil {
 				b.Fatal(err)
@@ -584,7 +576,7 @@ func BenchmarkPoolBuild(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := mc.BuildPool(ctx, mc.ConeSamplers(cone, benchSeed), 100000, workers); err != nil {
+				if _, err := mc.BuildPoolMatrix(ctx, mc.ConeSamplers(cone, benchSeed), 100000, 4, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -628,8 +620,8 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 }
 
 // BenchmarkVerifyBatch: verifying 16 candidate rankings against a 100k
-// sample pool — one VerifyStability call per ranking vs a single VerifyBatch
-// sweep with the constraint tests fused.
+// sample pool — one VerifyStability call per ranking vs one Do call whose
+// verify queries share a single fused sweep.
 func BenchmarkVerifyBatch(b *testing.B) {
 	ds := benchDiamonds(1000, 3)
 	rankings := make([]rank.Ranking, 16)
@@ -664,10 +656,14 @@ func BenchmarkVerifyBatch(b *testing.B) {
 		if _, err := a.VerifyStability(ctx, rankings[0]); err != nil {
 			b.Fatal(err)
 		}
+		queries := make([]stablerank.Query, len(rankings))
+		for i, r := range rankings {
+			queries[i] = stablerank.VerifyQuery{Ranking: r}
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, err := a.VerifyBatch(ctx, rankings)
+			out, err := a.Do(ctx, queries...)
 			if err != nil {
 				b.Fatal(err)
 			}

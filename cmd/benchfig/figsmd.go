@@ -14,6 +14,7 @@ import (
 	"stablerank/internal/geom"
 	"stablerank/internal/md"
 	"stablerank/internal/sampling"
+	"stablerank/internal/vecmat"
 )
 
 // diamondsD returns the simulated Blue Nile catalog projected to d
@@ -35,18 +36,20 @@ func equalWeights(d int) []float64 {
 	return w
 }
 
-func drawPool(roi geom.Region, n int, seed int64) []geom.Vector {
+// drawPool draws n samples from roi with one sequential sampler into a
+// contiguous pool matrix.
+func drawPool(roi geom.Region, n int, seed int64) vecmat.Matrix {
 	s, err := sampling.ForRegion(roi, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		fatal(err)
 	}
-	pool := make([]geom.Vector, n)
-	for i := range pool {
+	pool := vecmat.New(n, roi.Dim())
+	for i := 0; i < n; i++ {
 		w, err := s.Sample()
 		if err != nil {
 			fatal(err)
 		}
-		pool[i] = w
+		pool.SetRow(i, w)
 	}
 	return pool
 }
@@ -68,7 +71,7 @@ func fig9(r run) {
 		fatal(err)
 	}
 	pool := drawPool(cone, samples, r.seed+1)
-	engine, err := md.NewEngine(ds, cone, pool, md.SamplePartition)
+	engine, err := md.NewEngineMatrix(ds, cone, pool, md.SamplePartition)
 	if err != nil {
 		fatal(err)
 	}
@@ -119,7 +122,7 @@ func fig12(r run) {
 		ranking := stablerank.RankingOf(ds, equalWeights(3))
 		var res md.VerifyResult
 		var err error
-		dur := timed(func() { res, err = md.Verify(ctx, ds, ranking, pool) })
+		dur := timed(func() { res, err = md.VerifyMatrix(ctx, ds, ranking, pool) })
 		if err != nil {
 			fatal(err)
 		}
@@ -134,7 +137,7 @@ func getNextSweep(label string, ds *dataset.Dataset, roi geom.Region, samples in
 	var engine *md.Engine
 	var err error
 	setup := timed(func() {
-		engine, err = md.NewEngine(ds, roi, pool, md.SamplePartition)
+		engine, err = md.NewEngineMatrix(ds, roi, pool, md.SamplePartition)
 	})
 	if err != nil {
 		fatal(err)

@@ -1,9 +1,8 @@
 // Command benchfig regenerates every figure of the paper's evaluation
 // (Section 6, Figures 7-21) as aligned text tables, plus the sampler
-// illustrations (Figures 3, 4, 6) and the ablation studies called out in
-// DESIGN.md. Each subcommand prints the same series the corresponding
-// figure plots; EXPERIMENTS.md records a captured run against the paper's
-// reported shapes.
+// illustrations (Figures 3, 4, 6) and three design ablations (passThrough
+// mode, sampling method, delayed arrangement); `benchfig -h` lists them all.
+// Each subcommand prints the same series the corresponding figure plots.
 //
 // usage:
 //
@@ -67,6 +66,11 @@ func main() {
 		os.Exit(2)
 	}
 	name := os.Args[1]
+	switch name {
+	case "-h", "-help", "--help", "help":
+		usage()
+		return
+	}
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	quick := fs.Bool("quick", false, "shrink the largest sweeps")
 	seed := fs.Int64("seed", 42, "random seed for data and samplers")

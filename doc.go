@@ -27,7 +27,7 @@
 // one cursor driven to the deepest demand. Analyzer.Stream yields
 // enumeration results incrementally as an iter.Seq2. The per-operation
 // methods (VerifyStability, TopH, AboveThreshold, ItemRankDistribution,
-// Boundary, VerifyBatch, TopHBatch) are thin wrappers over Do, so results
+// Boundary) are thin wrappers over Do, so results
 // are bit-identical whichever surface is called at the same seed;
 // PoolBuilds and Sweeps make the plan sharing observable.
 //
@@ -128,7 +128,7 @@
 // Everything under internal/ is implementation detail and may change without
 // notice; import this package, not internal/core.
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for measured-vs-paper results. The root-level benchmarks in
+// See README.md for a tour, and `go run ./cmd/benchfig -h` for the paper's
+// evaluation figures and the design ablations. The root-level benchmarks in
 // bench_test.go mirror cmd/benchfig at testing.B scale.
 package stablerank

@@ -1,6 +1,6 @@
 // CSMetrics scenario: the paper's Example 1 and the first half of
-// Section 6.2, on a simulated CSMetrics crawl (see DESIGN.md for the
-// substitution rationale).
+// Section 6.2, on a simulated CSMetrics crawl (the real crawl is not
+// redistributable; stablerank.CSMetrics reproduces its statistical shape).
 //
 // CSMetrics scores research institutions by (M^alpha)(P^(1-alpha)) over
 // measured and predicted citations, linearized to alpha*log(M) +

@@ -236,8 +236,9 @@ func WithSampleCount(n int) Option {
 	}
 }
 
-// WithWorkers sets how many goroutines shard the Monte-Carlo sample-pool
-// build and the batch verification sweeps (default 0 = GOMAXPROCS). The
+// WithWorkers sets how many goroutines shard every mc.Sweep pass over the
+// Monte-Carlo sample pool: the pool build, the fused and adaptive query
+// sweeps and the delta score pass (default 0 = GOMAXPROCS). The
 // worker count is a throughput knob only: per-chunk deterministic seeding
 // makes every result bit-identical regardless of it.
 func WithWorkers(n int) Option {
@@ -549,43 +550,6 @@ func (a *Analyzer) VerifyStability(ctx context.Context, r rank.Ranking) (Verific
 	return *res[0].Verification, nil
 }
 
-// BatchVerification is one ranking's outcome within VerifyBatch: either a
-// Verification or that ranking's own error.
-type BatchVerification struct {
-	Verification
-	// Err is ErrInfeasibleRanking (or a shape error) for this ranking alone;
-	// nil on success. Other entries of the batch are unaffected.
-	Err error
-}
-
-// VerifyBatch answers Problem 1 for many rankings at once. In two dimensions
-// each ranking gets the exact SV2D scan; otherwise the Monte-Carlo sample
-// pool is swept ONCE for the whole batch — the per-sample constraint tests of
-// all rankings are fused into a single sharded pass — instead of once per
-// ranking, which is the dominant cost when verifying many candidates.
-// Per-ranking failures land in the matching BatchVerification.Err; the call
-// itself only fails on context cancellation or an unusable region. It is a
-// wrapper over Do.
-func (a *Analyzer) VerifyBatch(ctx context.Context, rankings []rank.Ranking) ([]BatchVerification, error) {
-	queries := make([]Query, len(rankings))
-	for i, r := range rankings {
-		queries[i] = VerifyQuery{Ranking: r}
-	}
-	res, err := a.Do(ctx, queries...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BatchVerification, len(rankings))
-	for i, r := range res {
-		if r.Err != nil {
-			out[i].Err = r.Err
-			continue
-		}
-		out[i].Verification = *r.Verification
-	}
-	return out, nil
-}
-
 // Stable is one enumerated ranking with its stability.
 type Stable = plan.Stable
 
@@ -674,30 +638,6 @@ func (a *Analyzer) TopH(ctx context.Context, h int) ([]Stable, error) {
 		return nil, err
 	}
 	return res[0].Stables, nil
-}
-
-// TopHBatch answers several top-h queries in one enumeration: the region is
-// enumerated once to the largest requested h and each query receives a
-// prefix of that single pass, so the sample pool is partitioned once instead
-// of once per query. The returned slices share one backing enumeration and
-// must be treated as read-only. It is a wrapper over Do.
-func (a *Analyzer) TopHBatch(ctx context.Context, hs []int) ([][]Stable, error) {
-	queries := make([]Query, len(hs))
-	for i, h := range hs {
-		if h < 0 {
-			return nil, fmt.Errorf("core: negative h %d at index %d", h, i)
-		}
-		queries[i] = TopHQuery{H: h}
-	}
-	res, err := a.Do(ctx, queries...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Stable, len(hs))
-	for i, r := range res {
-		out[i] = r.Stables
-	}
-	return out, nil
 }
 
 // AboveThreshold returns every ranking with stability >= s (batch Problem 2,

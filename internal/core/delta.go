@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -243,9 +242,9 @@ func removeRow(m vecmat.Matrix, idx int) vecmat.Matrix {
 
 // pass runs the per-delta score pass over the pool at most once: one
 // EvalRowsBlocked sweep evaluating every touched item's before/after
-// attribute vectors against every pool sample. Fixed-size chunks are
-// sharded across workers and the partial sums are reduced in chunk order,
-// so the statistics are bit-deterministic for every worker count.
+// attribute vectors against every pool sample. The mc.Sweep chunks' partial
+// sums are reduced in chunk order, so the statistics are bit-deterministic
+// for every worker count.
 // A completed pass (success or deterministic failure) is latched and shared
 // by every later call; a pass aborted by the caller's context is NOT — the
 // cancellation is returned to that caller only, and the next call with a
@@ -264,8 +263,6 @@ func (rec *deltaRecord) pass(ctx context.Context, pool vecmat.Matrix, workers in
 	rec.passDone = true
 	return stats, err
 }
-
-const deltaChunkRows = 4096
 
 func (rec *deltaRecord) scorePass(ctx context.Context, pool vecmat.Matrix, workers int) ([]scoreStat, error) {
 	k := len(rec.trace)
@@ -296,70 +293,49 @@ func (rec *deltaRecord) scorePass(ctx context.Context, pool vecmat.Matrix, worke
 		}
 	}
 
+	// Per-chunk partial sums and maxima, reduced in chunk order below; one
+	// EvalRowsBlocked output buffer per worker.
 	rows := pool.Rows()
-	chunks := (rows + deltaChunkRows - 1) / deltaChunkRows
-	sums := make([][]float64, chunks)
-	maxs := make([][]float64, chunks)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out := make([]float64, deltaChunkRows*sides)
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks || ctx.Err() != nil {
-					return
+	sums := make([][]float64, mc.Chunks(rows))
+	maxs := make([][]float64, mc.Chunks(rows))
+	bufs := make([][]float64, mc.SweepWorkers(rows, workers))
+	err := mc.Sweep(ctx, rows, workers, func(w, c, lo, hi int) error {
+		if bufs[w] == nil {
+			bufs[w] = make([]float64, mc.PoolChunk*sides)
+		}
+		out := bufs[w]
+		pool.EvalRowsBlocked(normals, lo, hi, out)
+		sum := make([]float64, k)
+		mx := make([]float64, k)
+		for r := 0; r < hi-lo; r++ {
+			base := r * sides
+			for i := range pairs {
+				var before, after float64
+				if pairs[i].before >= 0 {
+					before = out[base+pairs[i].before]
 				}
-				lo := c * deltaChunkRows
-				hi := lo + deltaChunkRows
-				if hi > rows {
-					hi = rows
+				if pairs[i].after >= 0 {
+					after = out[base+pairs[i].after]
 				}
-				pool.EvalRowsBlocked(normals, lo, hi, out)
-				sum := make([]float64, k)
-				mx := make([]float64, k)
-				for r := 0; r < hi-lo; r++ {
-					base := r * sides
-					for i := range pairs {
-						var before, after float64
-						if pairs[i].before >= 0 {
-							before = out[base+pairs[i].before]
-						}
-						if pairs[i].after >= 0 {
-							after = out[base+pairs[i].after]
-						}
-						dlt := after - before
-						sum[i] += dlt
-						if dlt < 0 {
-							dlt = -dlt
-						}
-						if dlt > mx[i] {
-							mx[i] = dlt
-						}
-					}
+				dlt := after - before
+				sum[i] += dlt
+				if dlt < 0 {
+					dlt = -dlt
 				}
-				sums[c] = sum
-				maxs[c] = mx
+				if dlt > mx[i] {
+					mx[i] = dlt
+				}
 			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		}
+		sums[c] = sum
+		maxs[c] = mx
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	stats := make([]scoreStat, k)
-	for c := 0; c < chunks; c++ {
-		if sums[c] == nil {
-			return nil, fmt.Errorf("core: delta score pass missing chunk %d", c)
-		}
+	for c := range sums {
 		for i := 0; i < k; i++ {
 			stats[i].mean += sums[c][i]
 			if maxs[c][i] > stats[i].maxAbs {

@@ -3,8 +3,7 @@
 // anti-correlated generators follow Börzsönyi et al. (the paper uses that
 // code for Figure 21); the domain generators simulate the statistical shape
 // of the four real datasets the paper crawls (CSMetrics, FIFA, Blue Nile,
-// US DoT on-time flights), which are not redistributable. DESIGN.md explains
-// why each substitution preserves the behaviour the experiments measure.
+// US DoT on-time flights), which are not redistributable.
 //
 // All generators take an explicit *rand.Rand so every experiment is
 // reproducible from a seed, and return datasets already normalized to

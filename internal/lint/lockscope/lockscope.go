@@ -34,7 +34,6 @@ import (
 // defaults cover the repo's pool-scale sweeps and outbound HTTP.
 var DefaultExpensive = []string{
 	"LastDrift",
-	"VerifyBatch",
 	"BuildPool",
 	"ParallelEstimate",
 	"net/http.Client",

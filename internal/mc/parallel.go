@@ -59,56 +59,65 @@ func ConeSamplers(region geom.Region, baseSeed int64) SamplerFactory {
 	}
 }
 
-// sweep runs fn over every chunk of total on the given worker count, stopping
-// early on the first error or context cancellation. fn receives the chunk
-// index and the [lo, hi) sample range it covers; it is called from multiple
-// goroutines but never twice for the same chunk.
-func sweep(ctx context.Context, total, workers int, fn func(chunk, lo, hi int) error) error {
-	if total <= 0 {
-		return nil
-	}
-	chunks := (total + PoolChunk - 1) / PoolChunk
+// SweepWorkers returns how many goroutines Sweep runs for total rows on the
+// requested worker count (workers <= 0 uses GOMAXPROCS): never more than
+// there are chunks. Callers size per-worker accumulators with it.
+func SweepWorkers(total, workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > chunks {
-		workers = chunks
+	return min(workers, Chunks(total))
+}
+
+// Sweep is the one chunk-parallel loop behind every pass over pool rows: it
+// runs fn over each PoolChunk-sized chunk of [0, total) on SweepWorkers
+// goroutines, which pick chunks up in index order. fn receives the index of
+// the worker running it (in [0, SweepWorkers)), the chunk index and the
+// chunk's [lo, hi) row range; it is never called twice for the same chunk.
+// Chunk boundaries depend only on total, so per-worker integer counts or
+// per-chunk partials reduced in chunk order are identical for every worker
+// count. The first error — fn's, or ctx.Err() polled before each chunk —
+// stops further pickup and is returned. With one worker or one chunk the
+// sweep runs inline on the calling goroutine.
+func Sweep(ctx context.Context, total, workers int, fn func(worker, chunk, lo, hi int) error) error {
+	chunks := Chunks(total)
+	run := func(worker, chunk int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		lo, hi := ChunkRange(chunk, total)
+		return fn(worker, chunk, lo, hi)
+	}
+	workers = SweepWorkers(total, workers)
+	if workers <= 1 {
+		for c := 0; c < chunks; c++ {
+			if err := run(0, c); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	var (
 		next     atomic.Int64
+		stopped  atomic.Bool
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		sweepErr error
 	)
-	stop := make(chan struct{})
-	fail := func(err error) {
-		errOnce.Do(func() {
-			sweepErr = err
-			close(stop)
-		})
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for !stopped.Load() {
 				c := int(next.Add(1)) - 1
 				if c >= chunks {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				lo := c * PoolChunk
-				hi := min(lo+PoolChunk, total)
-				if err := fn(c, lo, hi); err != nil {
-					fail(err)
+				if err := run(w, c); err != nil {
+					errOnce.Do(func() {
+						sweepErr = err
+						stopped.Store(true)
+					})
 					return
 				}
 			}
@@ -137,43 +146,11 @@ func BuildPoolMatrix(ctx context.Context, factory SamplerFactory, total, d, work
 		return vecmat.Matrix{}, fmt.Errorf("mc: dimension %d < 1", d)
 	}
 	pool := vecmat.New(total, d)
-	err := sweep(ctx, total, workers, func(chunk, lo, hi int) error {
+	err := Sweep(ctx, total, workers, func(_, chunk, lo, hi int) error {
 		return fillChunkRows(ctx, factory, chunk, lo, hi, pool, lo)
 	})
 	if err != nil {
 		return vecmat.Matrix{}, err
-	}
-	return pool, nil
-}
-
-// BuildPool is BuildPoolMatrix returning the pool as per-sample vectors:
-// the returned slice's elements are row views into one contiguous backing
-// array, so the layout (and allocation count) matches the matrix form while
-// the API stays slice-of-vectors. Contents are bit-identical to
-// BuildPoolMatrix for every worker count.
-func BuildPool(ctx context.Context, factory SamplerFactory, total, workers int) ([]geom.Vector, error) {
-	if factory == nil {
-		return nil, errors.New("mc: nil sampler factory")
-	}
-	if total < 0 {
-		return nil, fmt.Errorf("mc: negative total %d", total)
-	}
-	if total == 0 {
-		return make([]geom.Vector, 0), nil
-	}
-	// Probe one sampler for the dimension; chunk 0's sweep constructs its
-	// own fresh sampler, so the probe perturbs nothing.
-	probe, err := factory(0)
-	if err != nil {
-		return nil, err
-	}
-	m, err := BuildPoolMatrix(ctx, factory, total, probe.Dim(), workers)
-	if err != nil {
-		return nil, err
-	}
-	pool := make([]geom.Vector, total)
-	for i := range pool {
-		pool[i] = geom.Vector(m.Row(i))
 	}
 	return pool, nil
 }
@@ -251,9 +228,8 @@ func ParallelEstimate(ctx context.Context, ds *dataset.Dataset, factory SamplerF
 	// 64-bit hashes (collision-checked) with the sample buffer reused, so
 	// the per-sample loop allocates only for first-seen rankings; string
 	// keys materialize once per distinct ranking during the merge.
-	chunks := (total + PoolChunk - 1) / PoolChunk
-	parts := make([]*internTable, chunks)
-	err := sweep(ctx, total, workers, func(chunk, lo, hi int) error {
+	parts := make([]*internTable, Chunks(total))
+	err := Sweep(ctx, total, workers, func(_, chunk, lo, hi int) error {
 		s, err := factory(chunk)
 		if err != nil {
 			return err

@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"stablerank/internal/dataset"
 	"stablerank/internal/geom"
 	"stablerank/internal/sampling"
 	"stablerank/internal/twod"
+	"stablerank/internal/vecmat"
 )
 
 func TestParallelEstimateMatchesExact(t *testing.T) {
@@ -130,43 +134,45 @@ func TestParallelEstimateCancelled(t *testing.T) {
 func TestBuildPoolWorkerInvariance(t *testing.T) {
 	factory := ConeSamplers(geom.FullSpace{D: 3}, 42)
 	total := 2*PoolChunk + 777
-	var base []geom.Vector
+	var base vecmat.Matrix
 	for i, workers := range []int{1, 2, 8} {
-		pool, err := BuildPool(ctx, factory, total, workers)
+		pool, err := BuildPoolMatrix(ctx, factory, total, 3, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pool) != total {
-			t.Fatalf("workers=%d: len = %d, want %d", workers, len(pool), total)
+		if pool.Rows() != total {
+			t.Fatalf("workers=%d: rows = %d, want %d", workers, pool.Rows(), total)
 		}
 		if i == 0 {
 			base = pool
 			continue
 		}
-		for j := range pool {
-			for c := range pool[j] {
-				if pool[j][c] != base[j][c] {
-					t.Fatalf("workers=%d: sample %d component %d differs: %v vs %v",
-						workers, j, c, pool[j][c], base[j][c])
-				}
-			}
-		}
+		assertMatrixEqual(t, "workers", base, pool)
 	}
 }
 
-// TestBuildPoolMatrixMatchesBuildPool: the matrix pool and the
-// slice-of-vectors wrapper hold bit-identical samples (they share the
-// chunked seeding), and the matrix build is worker-invariant too — the
-// determinism contract survives the contiguous storage.
+// TestBuildPoolMatrixMatchesBuildPool: the matrix pool holds exactly the
+// samples a sequential reference build draws, chunk by chunk, from each
+// chunk's own sampler — the determinism contract survives the contiguous
+// storage and the sharded fill for every worker count.
 func TestBuildPoolMatrixMatchesBuildPool(t *testing.T) {
 	factory := ConeSamplers(geom.FullSpace{D: 3}, 42)
 	total := PoolChunk + 123
-	pool, err := BuildPool(ctx, factory, total, 3)
-	if err != nil {
-		t.Fatal(err)
+	want := vecmat.New(total, 3)
+	for chunk := 0; chunk < Chunks(total); chunk++ {
+		s, err := factory(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := ChunkRange(chunk, total)
+		for i := lo; i < hi; i++ {
+			w, err := s.Sample()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.SetRow(i, w)
+		}
 	}
-	// Comparing every worker count's matrix against the one BuildPool
-	// result proves both matrix-vs-wrapper equality and worker invariance.
 	for _, workers := range []int{1, 4} {
 		m, err := BuildPoolMatrix(ctx, factory, total, 3, workers)
 		if err != nil {
@@ -175,14 +181,7 @@ func TestBuildPoolMatrixMatchesBuildPool(t *testing.T) {
 		if m.Rows() != total || m.Stride() != 3 {
 			t.Fatalf("matrix shape %dx%d", m.Rows(), m.Stride())
 		}
-		for i := 0; i < total; i++ {
-			row := m.Row(i)
-			for c := range row {
-				if row[c] != pool[i][c] {
-					t.Fatalf("workers=%d: row %d component %d: %v vs %v", workers, i, c, row[c], pool[i][c])
-				}
-			}
-		}
+		assertMatrixEqual(t, "reference build", want, m)
 	}
 	// Dimension mismatch between factory and pool is rejected.
 	if _, err := BuildPoolMatrix(ctx, factory, 10, 4, 1); err == nil {
@@ -210,25 +209,113 @@ func TestBuildPoolAllocationBudget(t *testing.T) {
 
 func TestBuildPoolValidationAndCancel(t *testing.T) {
 	factory := ConeSamplers(geom.FullSpace{D: 2}, 1)
-	if _, err := BuildPool(ctx, nil, 10, 1); err == nil {
+	if _, err := BuildPoolMatrix(ctx, nil, 10, 2, 1); err == nil {
 		t.Error("nil factory accepted")
 	}
-	if _, err := BuildPool(ctx, factory, -1, 1); err == nil {
+	if _, err := BuildPoolMatrix(ctx, factory, -1, 2, 1); err == nil {
 		t.Error("negative total accepted")
 	}
-	pool, err := BuildPool(ctx, factory, 0, 4)
-	if err != nil || len(pool) != 0 {
-		t.Errorf("zero total: len=%d err=%v", len(pool), err)
+	pool, err := BuildPoolMatrix(ctx, factory, 0, 2, 4)
+	if err != nil || pool.Rows() != 0 {
+		t.Errorf("zero total: rows=%d err=%v", pool.Rows(), err)
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildPool(cancelled, factory, 100000, 4); !errors.Is(err, context.Canceled) {
+	if _, err := BuildPoolMatrix(cancelled, factory, 100000, 2, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	// A failing factory surfaces its error.
 	boom := errors.New("boom")
-	_, err = BuildPool(ctx, func(int) (sampling.Sampler, error) { return nil, boom }, 10, 2)
+	_, err = BuildPoolMatrix(ctx, func(int) (sampling.Sampler, error) { return nil, boom }, 10, 2, 2)
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want boom", err)
+	}
+}
+
+// TestSweep pins the chunk-parallel helper's contract: an empty range calls
+// nothing, a single chunk runs inline on worker 0, every chunk of a larger
+// range is visited exactly once with its fixed boundaries, the first error
+// wins and stops chunk pickup, and cancellation returns ctx.Err().
+func TestSweep(t *testing.T) {
+	called := false
+	if err := Sweep(ctx, 0, 4, func(_, _, _, _ int) error { called = true; return nil }); err != nil || called {
+		t.Errorf("total=0: err=%v called=%v", err, called)
+	}
+
+	// One chunk: inline on the caller's goroutine (the unsynchronized
+	// append below would race under -race otherwise) as worker 0.
+	var got [][3]int
+	if err := Sweep(ctx, 100, 8, func(w, c, lo, hi int) error {
+		got = append(got, [3]int{w, c, hi - lo})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != [3]int{0, 0, 100} {
+		t.Errorf("single chunk calls = %v, want [[0 0 100]]", got)
+	}
+
+	total := 5*PoolChunk + 9
+	for _, workers := range []int{1, 3, 8} {
+		var mu sync.Mutex
+		seen := make(map[int][2]int)
+		maxWorker := 0
+		err := Sweep(ctx, total, workers, func(w, c, lo, hi int) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if _, dup := seen[c]; dup {
+				t.Errorf("workers=%d: chunk %d visited twice", workers, c)
+			}
+			seen[c] = [2]int{lo, hi}
+			maxWorker = max(maxWorker, w)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != Chunks(total) {
+			t.Errorf("workers=%d: %d chunks visited, want %d", workers, len(seen), Chunks(total))
+		}
+		for c, r := range seen {
+			if lo, hi := ChunkRange(c, total); r != [2]int{lo, hi} {
+				t.Errorf("workers=%d: chunk %d range %v, want [%d %d]", workers, c, r, lo, hi)
+			}
+		}
+		if maxWorker >= SweepWorkers(total, workers) {
+			t.Errorf("workers=%d: worker index %d out of range", workers, maxWorker)
+		}
+	}
+
+	// The first error wins and stops chunk pickup: inline, nothing runs
+	// after the failing chunk; in parallel, the other worker's slow chunks
+	// give the failure time to land, so pickup stops long before the 64
+	// chunks of the range are exhausted.
+	boom := errors.New("boom")
+	for _, tc := range []struct{ workers, maxCalls int }{{1, 1}, {2, 32}} {
+		var calls atomic.Int64
+		err := Sweep(ctx, 64*PoolChunk, tc.workers, func(_, c, _, _ int) error {
+			calls.Add(1)
+			if c == 0 {
+				return boom
+			}
+			time.Sleep(5 * time.Millisecond)
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Errorf("workers=%d: err = %v, want boom", tc.workers, err)
+		}
+		if n := calls.Load(); n > int64(tc.maxCalls) {
+			t.Errorf("workers=%d: %d chunks ran, want <= %d after the first error", tc.workers, n, tc.maxCalls)
+		}
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		called := false
+		err := Sweep(cancelled, 3*PoolChunk, workers, func(_, _, _, _ int) error { called = true; return nil })
+		if !errors.Is(err, context.Canceled) || called {
+			t.Errorf("workers=%d: cancelled sweep err=%v called=%v", workers, err, called)
+		}
 	}
 }

@@ -2,9 +2,8 @@ package plan
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
+	"stablerank/internal/mc"
 	"stablerank/internal/md"
 	"stablerank/internal/vecmat"
 )
@@ -26,10 +25,10 @@ const (
 	// adaptiveChunkMin is the first chunk size: the smallest prefix on which
 	// a confidence interval is ever consulted, and the floor on rows any
 	// adaptive answer is based on.
-	adaptiveChunkMin = sweepBlock
+	adaptiveChunkMin = mc.PoolChunk
 	// adaptiveChunkMax caps the doubling chunk schedule so stopping
 	// opportunities keep a bounded spacing on large pools.
-	adaptiveChunkMax = 16 * sweepBlock
+	adaptiveChunkMax = 16 * mc.PoolChunk
 )
 
 // adaptiveSweep answers the verify queries with early stopping. It mirrors
@@ -59,24 +58,18 @@ func adaptiveSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []
 	if env.OnSweep != nil {
 		env.OnSweep()
 	}
-	workers := env.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	rows := pool.Rows()
 	grouped, starts := concatLive(env, live, func(v *liveVerify) vecmat.Matrix { return v.cons })
 	counts := make([]int, len(live))
 	pos, chunk := 0, adaptiveChunkMin
 	for pos < rows && len(live) > 0 {
-		if err := ctx.Err(); err != nil {
+		hi := min(pos+chunk, rows)
+		if err := countChunkGrouped(ctx, grouped, starts, pool, pos, hi, env.Workers, counts); err != nil {
 			for _, i := range verifyIdx {
 				out[i].Verify = nil
 			}
 			return err
 		}
-		hi := min(pos+chunk, rows)
-		countChunkGrouped(grouped, starts, pool, pos, hi, workers, counts)
 		pos = hi
 		if chunk < adaptiveChunkMax {
 			chunk *= 2
@@ -140,35 +133,26 @@ func concatLive[T any](env *Env, live []T, cons func(*T) vecmat.Matrix) (vecmat.
 }
 
 // countChunkGrouped accumulates grouped membership counts for pool rows
-// [lo, hi) into counts, sharding large chunks across workers. The shards are
-// contiguous sub-ranges whose integer counts are summed, so the result is
-// identical for every worker count.
-func countChunkGrouped(grouped vecmat.Matrix, starts []int, pool vecmat.Matrix, lo, hi, workers int, counts []int) {
-	n := hi - lo
-	if w := n / sweepBlock; workers > w {
-		workers = w
+// [lo, hi) into counts, sharding the rows with mc.Sweep. Each worker sums
+// into its own integer counts, merged afterwards, so the result is identical
+// for every worker count. lo is a multiple of mc.PoolChunk on the adaptive
+// schedule, so the shards are pool chunks.
+func countChunkGrouped(ctx context.Context, grouped vecmat.Matrix, starts []int, pool vecmat.Matrix, lo, hi, workers int, counts []int) error {
+	part := make([][]int, mc.SweepWorkers(hi-lo, workers))
+	for w := range part {
+		part[w] = make([]int, len(counts))
 	}
-	if workers <= 1 {
-		vecmat.CountInsideGrouped(grouped, starts, pool, lo, hi, counts)
-		return
+	err := mc.Sweep(ctx, hi-lo, workers, func(w, _, clo, chi int) error {
+		vecmat.CountInsideGrouped(grouped, starts, pool, lo+clo, lo+chi, part[w])
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	part := make([][]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wlo := lo + w*n/workers
-		whi := lo + (w+1)*n/workers
-		local := make([]int, len(counts))
-		part[w] = local
-		wg.Add(1)
-		go func(wlo, whi int, local []int) {
-			defer wg.Done()
-			vecmat.CountInsideGrouped(grouped, starts, pool, wlo, whi, local)
-		}(wlo, whi, local)
-	}
-	wg.Wait()
 	for _, local := range part {
 		for i, c := range local {
 			counts[i] += c
 		}
 	}
+	return nil
 }

@@ -2,9 +2,6 @@ package plan
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"stablerank/internal/geom"
 	"stablerank/internal/mc"
@@ -12,18 +9,12 @@ import (
 	"stablerank/internal/vecmat"
 )
 
-// The fused sweep: one sharded pass over the Monte-Carlo sample pool that
-// answers every verify AND item-rank query in the batch. It generalizes the
-// verify-only batch sweep (md.VerifyBatchMatrix): within each pool block,
-// every live ranking's flat constraint matrix counts its members with the
-// vecmat kernel, and every item-rank query accumulates the item's rank for
-// each sample row. Counts are exact integer sums, so results are
+// The fused sweep: one mc.Sweep pass over the Monte-Carlo sample pool that
+// answers every verify AND item-rank query in the batch: within each pool
+// chunk, every live ranking's flat constraint matrix counts its members with
+// the vecmat kernel, and every item-rank query accumulates the item's rank
+// for each sample row. Counts are exact integer sums, so results are
 // bit-identical for every worker count.
-
-// sweepBlock is the per-worker pool shard size; context cancellation is
-// polled once per block. It matches the historical batch-verification block
-// so single-verify sweeps count in the same block order.
-const sweepBlock = 4096
 
 // fusedItem is one pool-resident item-rank query: the outcome index, the
 // dataset item, and how many leading pool rows it consumes.
@@ -55,14 +46,10 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 		return nil
 	}
 	// Concatenate every live ranking's constraints into one flat matrix so a
-	// pool block is streamed once for the whole batch (matrix-matrix sweep)
+	// pool chunk is streamed once for the whole batch (matrix-matrix sweep)
 	// instead of once per ranking; per-group early exit keeps the counts
 	// bit-identical to per-ranking CountInside sweeps.
-	consMats := make([]vecmat.Matrix, len(live))
-	for li, v := range live {
-		consMats[li] = v.cons
-	}
-	grouped, starts := vecmat.ConcatGroups(env.DS.D(), consMats)
+	grouped, starts := concatLive(env, live, func(v *liveVerify) vecmat.Matrix { return v.cons })
 	var attrs vecmat.Matrix
 	if len(items) > 0 {
 		attrs = vecmat.New(env.DS.N(), env.DS.D())
@@ -74,79 +61,38 @@ func fusedSweep(ctx context.Context, env *Env, pool vecmat.Matrix, queries []Que
 		env.OnSweep()
 	}
 
-	workers := env.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	blocks := (pool.Rows() + sweepBlock - 1) / sweepBlock
-	if workers > blocks {
-		workers = blocks
-	}
 	// Per-worker accumulators, merged after the sweep: one membership count
 	// per live verify, one dense rank histogram (1..N) per item query.
+	workers := mc.SweepWorkers(pool.Rows(), env.Workers)
 	verifyCounts := make([][]int, workers)
 	rankCounts := make([][][]int, workers)
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		sweepErr error
-	)
-	stop := make(chan struct{})
-	fail := func(err error) {
-		errOnce.Do(func() {
-			sweepErr = err
-			close(stop)
-		})
+	for w := range workers {
+		verifyCounts[w] = make([]int, len(live))
+		rankCounts[w] = make([][]int, len(items))
+		for k := range items {
+			rankCounts[w][k] = make([]int, env.DS.N()+1)
+		}
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			vc := make([]int, len(live))
-			verifyCounts[w] = vc
-			rc := make([][]int, len(items))
-			for k := range items {
-				rc[k] = make([]int, env.DS.N()+1)
+	err := mc.Sweep(ctx, pool.Rows(), env.Workers, func(w, _, lo, hi int) error {
+		// Sample-major within the chunk: each sample row is hoisted into
+		// registers once and streamed against the concatenated constraint
+		// matrix of every live ranking.
+		vecmat.CountInsideGrouped(grouped, starts, pool, lo, hi, verifyCounts[w])
+		for k, it := range items {
+			rc := rankCounts[w][k]
+			for row, rows := lo, min(hi, it.n); row < rows; row++ {
+				rc[mc.RankOf(attrs, geom.Vector(pool.Row(row)), it.item)]++
 			}
-			rankCounts[w] = rc
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				b := int(next.Add(1)) - 1
-				if b >= blocks {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				lo := b * sweepBlock
-				hi := min(lo+sweepBlock, pool.Rows())
-				// Sample-major within the block: each sample row is hoisted
-				// into registers once and streamed against the concatenated
-				// constraint matrix of every live ranking.
-				vecmat.CountInsideGrouped(grouped, starts, pool, lo, hi, vc)
-				for k, it := range items {
-					for row, rows := lo, min(hi, it.n); row < rows; row++ {
-						r := mc.RankOf(attrs, geom.Vector(pool.Row(row)), it.item)
-						rc[k][r]++
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if sweepErr != nil {
+		}
+		return nil
+	})
+	if err != nil {
 		// Clear the partially filled verify outcomes so a failed call leaves
 		// no half-answered queries behind.
 		for _, v := range live {
 			out[v.qi].Verify = nil
 		}
-		return sweepErr
+		return err
 	}
 
 	for li, v := range live {

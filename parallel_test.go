@@ -3,10 +3,13 @@ package stablerank_test
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"stablerank"
+
+	"stablerank/internal/mc"
 )
 
 // parallelTestDataset is a 3D catalog (Monte-Carlo engine) shared by the
@@ -15,67 +18,120 @@ func parallelTestDataset() *stablerank.Dataset {
 	return stablerank.Independent(rand.New(rand.NewSource(11)), 25, 3)
 }
 
-func parallelTestAnalyzer(t *testing.T, workers int) *stablerank.Analyzer {
+func parallelTestAnalyzer(t *testing.T, workers int, opts ...stablerank.Option) *stablerank.Analyzer {
 	t.Helper()
-	a, err := stablerank.New(parallelTestDataset(),
+	a, err := stablerank.New(parallelTestDataset(), append([]stablerank.Option{
 		stablerank.WithCone([]float64{1, 1, 1}, 0.3),
 		stablerank.WithSeed(17),
 		stablerank.WithSampleCount(30_000),
 		stablerank.WithWorkers(workers),
-	)
+	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return a
 }
 
-// TestWorkerCountDeterminism is the tentpole's property test: for the same
-// seed, worker counts 1, 2 and 8 must produce IDENTICAL Stability and TopH
-// results — not statistically close, bit-equal — because the sample pool is
-// drawn in fixed chunks seeded by chunk index, never by worker.
+// TestWorkerCountDeterminism: for the same seed, worker counts 1, 2, 3 and 8
+// must produce IDENTICAL answers — not statistically close, bit-equal — on
+// every path that shards the sample pool across workers: the pool build,
+// the fused verify/item-rank sweep, the adaptive verify sweep and the
+// LastDrift score pass. The pool is drawn in fixed chunks seeded by chunk
+// index, never by worker, and every sweep merges exact integer counts or
+// per-chunk partials in chunk order.
 func TestWorkerCountDeterminism(t *testing.T) {
 	ds := parallelTestDataset()
 	ranking := stablerank.RankingOf(ds, []float64{1, 1, 1})
-	type outcome struct {
-		verify stablerank.Verification
-		topH   []stablerank.Stable
+	cases := []struct {
+		name string
+		opts []stablerank.Option
+		run  func(t *testing.T, a *stablerank.Analyzer) any
+	}{
+		{"verify and toph", nil, func(t *testing.T, a *stablerank.Analyzer) any {
+			v, err := a.VerifyStability(ctx, ranking)
+			if err != nil {
+				t.Fatal(err)
+			}
+			topH, err := a.TopH(ctx, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.PoolBuildDuration() <= 0 {
+				t.Errorf("PoolBuildDuration = %v, want > 0", a.PoolBuildDuration())
+			}
+			return []any{v, topH}
+		}},
+		{"adaptive verify", []stablerank.Option{stablerank.WithAdaptive(0.0009)}, func(t *testing.T, a *stablerank.Analyzer) any {
+			v, err := a.VerifyStability(ctx, ranking)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An early stop after the first doubling step (which sweeps two
+			// pool chunks) puts sharded counts behind the answer.
+			if !v.Adaptive || v.SampleCount < 3*mc.PoolChunk || v.SampleCount >= 30_000 {
+				t.Errorf("adaptive verify stopped at %d rows (adaptive %v), want an early stop past %d", v.SampleCount, v.Adaptive, 3*mc.PoolChunk)
+			}
+			return v
+		}},
+		{"pool-sized itemrank", nil, func(t *testing.T, a *stablerank.Analyzer) any {
+			res, err := a.Do(ctx,
+				stablerank.VerifyQuery{Ranking: ranking},
+				stablerank.ItemRankQuery{Item: 3},
+				stablerank.ItemRankQuery{Item: 5, Samples: 10_000},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Sweeps() != 1 {
+				t.Errorf("%d sweeps, want the one fused sweep", a.Sweeps())
+			}
+			for i, r := range res {
+				if r.Err != nil {
+					t.Fatalf("result %d: %v", i, r.Err)
+				}
+			}
+			return []any{*res[0].Verification, *res[1].RankDistribution, *res[2].RankDistribution}
+		}},
+		{"drift", nil, func(t *testing.T, a *stablerank.Analyzer) any {
+			if err := a.Warm(ctx); err != nil {
+				t.Fatal(err)
+			}
+			next, err := a.ApplyDelta(ctx,
+				stablerank.Delta{Op: stablerank.AttrUpdate, ID: ds.Item(0).ID, Attrs: []float64{0.5, 0.5, 0.5}},
+				stablerank.Delta{Op: stablerank.ItemAdd, ID: "added", Attrs: []float64{0.9, 0.1, 0.4}},
+				stablerank.Delta{Op: stablerank.ItemRemove, ID: ds.Item(1).ID},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drift, err := next.LastDrift(ctx, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(drift) != 3 || drift[0].PoolRows != 30_000 {
+				t.Fatalf("drift = %+v, want 3 deltas priced over the 30000-row pool", drift)
+			}
+			return drift
+		}},
 	}
-	var base outcome
-	for i, workers := range []int{1, 2, 8} {
-		a := parallelTestAnalyzer(t, workers)
-		v, err := a.VerifyStability(ctx, ranking)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topH, err := a.TopH(ctx, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Workers() != workers {
-			t.Errorf("Workers() = %d, want %d", a.Workers(), workers)
-		}
-		if a.PoolBuildDuration() <= 0 {
-			t.Errorf("workers=%d: PoolBuildDuration = %v, want > 0", workers, a.PoolBuildDuration())
-		}
-		if i == 0 {
-			base = outcome{verify: v, topH: topH}
-			continue
-		}
-		if v.Stability != base.verify.Stability || v.ConfidenceError != base.verify.ConfidenceError {
-			t.Errorf("workers=%d: verify %v±%v, workers=1 gave %v±%v",
-				workers, v.Stability, v.ConfidenceError, base.verify.Stability, base.verify.ConfidenceError)
-		}
-		if len(topH) != len(base.topH) {
-			t.Fatalf("workers=%d: %d rankings, workers=1 gave %d", workers, len(topH), len(base.topH))
-		}
-		for j := range topH {
-			if topH[j].Stability != base.topH[j].Stability {
-				t.Errorf("workers=%d topH[%d]: stability %v vs %v", workers, j, topH[j].Stability, base.topH[j].Stability)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var base any
+			for i, workers := range []int{1, 2, 3, 8} {
+				a := parallelTestAnalyzer(t, workers, tc.opts...)
+				if a.Workers() != workers {
+					t.Errorf("Workers() = %d, want %d", a.Workers(), workers)
+				}
+				got := tc.run(t, a)
+				if i == 0 {
+					base = got
+					continue
+				}
+				if !reflect.DeepEqual(got, base) {
+					t.Errorf("workers=%d:\n%+v\nworkers=1 gave\n%+v", workers, got, base)
+				}
 			}
-			if !topH[j].Ranking.Equal(base.topH[j].Ranking) {
-				t.Errorf("workers=%d topH[%d]: ranking differs", workers, j)
-			}
-		}
+		})
 	}
 }
 
@@ -92,31 +148,32 @@ func TestWithWorkersValidation(t *testing.T) {
 	}
 }
 
-// TestVerifyBatchMatchesSingleCalls: the facade batch sweep returns exactly
-// what per-ranking VerifyStability calls return over the same pool.
+// TestVerifyBatchMatchesSingleCalls: a Do call verifying several rankings in
+// one fused sweep returns exactly what per-ranking VerifyStability calls
+// return over the same pool.
 func TestVerifyBatchMatchesSingleCalls(t *testing.T) {
 	ds := parallelTestDataset()
 	a := parallelTestAnalyzer(t, 4)
 	weights := [][]float64{{1, 1, 1}, {1.2, 1, 0.9}, {0.9, 1.1, 1}}
-	rankings := make([]stablerank.Ranking, len(weights))
+	queries := make([]stablerank.Query, len(weights))
 	for i, w := range weights {
-		rankings[i] = stablerank.RankingOf(ds, w)
+		queries[i] = stablerank.VerifyQuery{Ranking: stablerank.RankingOf(ds, w)}
 	}
-	batch, err := a.VerifyBatch(ctx, rankings)
+	batch, err := a.Do(ctx, queries...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range rankings {
-		single, err := a.VerifyStability(ctx, r)
+	for i, q := range queries {
+		single, err := a.VerifyStability(ctx, q.(stablerank.VerifyQuery).Ranking)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if batch[i].Err != nil {
 			t.Fatalf("batch[%d]: unexpected error %v", i, batch[i].Err)
 		}
-		if batch[i].Stability != single.Stability || batch[i].ConfidenceError != single.ConfidenceError {
+		if got := batch[i].Verification; got.Stability != single.Stability || got.ConfidenceError != single.ConfidenceError {
 			t.Errorf("batch[%d]: %v±%v vs single %v±%v",
-				i, batch[i].Stability, batch[i].ConfidenceError, single.Stability, single.ConfidenceError)
+				i, got.Stability, got.ConfidenceError, single.Stability, single.ConfidenceError)
 		}
 	}
 	if a.PoolBuilds() != 1 {
@@ -124,44 +181,42 @@ func TestVerifyBatchMatchesSingleCalls(t *testing.T) {
 	}
 }
 
-// TestTopHBatchPrefixes: one enumeration serves every requested h as a
-// prefix of the longest answer.
+// TestTopHBatchPrefixes: one Do call's single enumeration serves every
+// requested h as a prefix of the longest answer; h <= 0 yields none.
 func TestTopHBatchPrefixes(t *testing.T) {
 	a := parallelTestAnalyzer(t, 2)
-	batches, err := a.TopHBatch(ctx, []int{2, 5, 0})
+	res, err := a.Do(ctx, stablerank.TopHQuery{H: 2}, stablerank.TopHQuery{H: 5}, stablerank.TopHQuery{H: 0}, stablerank.TopHQuery{H: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batches) != 3 {
-		t.Fatalf("%d batches, want 3", len(batches))
+	if len(res) != 4 {
+		t.Fatalf("%d results, want 4", len(res))
 	}
-	if len(batches[0]) > 2 || len(batches[2]) != 0 {
-		t.Fatalf("batch sizes %d/%d/%d", len(batches[0]), len(batches[1]), len(batches[2]))
+	short, long := res[0].Stables, res[1].Stables
+	if len(short) > 2 || len(res[2].Stables) != 0 || len(res[3].Stables) != 0 {
+		t.Fatalf("result sizes %d/%d/%d/%d", len(short), len(long), len(res[2].Stables), len(res[3].Stables))
 	}
-	for i := range batches[0] {
-		if !batches[0][i].Ranking.Equal(batches[1][i].Ranking) {
+	for i := range short {
+		if !short[i].Ranking.Equal(long[i].Ranking) {
 			t.Errorf("h=2 answer is not a prefix of h=5 at %d", i)
 		}
-	}
-	if _, err := a.TopHBatch(ctx, []int{3, -1}); err == nil {
-		t.Error("negative h accepted")
 	}
 }
 
 // TestConcurrentBatchQueries hammers one shared Analyzer with concurrent
-// VerifyBatch and TopHBatch calls — the race-detector companion of the
-// tentpole (CI runs the suite under -race): all goroutines must coalesce
+// multi-query Do calls — verify batches and top-h batches — under the race
+// detector (CI runs the suite under -race): all goroutines must coalesce
 // onto one pool build and observe identical results.
 func TestConcurrentBatchQueries(t *testing.T) {
 	ds := parallelTestDataset()
 	a := parallelTestAnalyzer(t, 4)
-	rankings := []stablerank.Ranking{
-		stablerank.RankingOf(ds, []float64{1, 1, 1}),
-		stablerank.RankingOf(ds, []float64{1.1, 0.9, 1}),
+	verifies := []stablerank.Query{
+		stablerank.VerifyQuery{Ranking: stablerank.RankingOf(ds, []float64{1, 1, 1})},
+		stablerank.VerifyQuery{Ranking: stablerank.RankingOf(ds, []float64{1.1, 0.9, 1})},
 	}
+	topHs := []stablerank.Query{stablerank.TopHQuery{H: 3}, stablerank.TopHQuery{H: 1}}
 	const goroutines = 16
-	verifications := make([][]stablerank.BatchVerification, goroutines)
-	topHs := make([][][]stablerank.Stable, goroutines)
+	results := make([][]stablerank.Result, goroutines)
 	errs := make([]error, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -169,9 +224,9 @@ func TestConcurrentBatchQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			if g%2 == 0 {
-				verifications[g], errs[g] = a.VerifyBatch(context.Background(), rankings)
+				results[g], errs[g] = a.Do(context.Background(), verifies...)
 			} else {
-				topHs[g], errs[g] = a.TopHBatch(context.Background(), []int{3, 1})
+				results[g], errs[g] = a.Do(context.Background(), topHs...)
 			}
 		}(g)
 	}
@@ -185,19 +240,19 @@ func TestConcurrentBatchQueries(t *testing.T) {
 		t.Errorf("pool built %d times under concurrency, want 1", got)
 	}
 	for g := 2; g < goroutines; g += 2 {
-		for i := range rankings {
-			if verifications[g][i].Stability != verifications[0][i].Stability {
-				t.Errorf("goroutine %d verify[%d] = %v, goroutine 0 saw %v",
-					g, i, verifications[g][i].Stability, verifications[0][i].Stability)
+		for i := range verifies {
+			if got, want := results[g][i].Verification.Stability, results[0][i].Verification.Stability; got != want {
+				t.Errorf("goroutine %d verify[%d] = %v, goroutine 0 saw %v", g, i, got, want)
 			}
 		}
 	}
 	for g := 3; g < goroutines; g += 2 {
-		if len(topHs[g][0]) != len(topHs[1][0]) {
-			t.Fatalf("goroutine %d topH size %d, goroutine 1 saw %d", g, len(topHs[g][0]), len(topHs[1][0]))
+		got, want := results[g][0].Stables, results[1][0].Stables
+		if len(got) != len(want) {
+			t.Fatalf("goroutine %d topH size %d, goroutine 1 saw %d", g, len(got), len(want))
 		}
-		for i := range topHs[g][0] {
-			if topHs[g][0][i].Stability != topHs[1][0][i].Stability {
+		for i := range got {
+			if got[i].Stability != want[i].Stability {
 				t.Errorf("goroutine %d topH[%d] stability differs", g, i)
 			}
 		}

@@ -12,9 +12,9 @@ import (
 // one Monte-Carlo sample-pool build and one fused sweep for the
 // verify/item-rank group, one enumeration cursor for the
 // top-h/above/enumerate group. The per-operation methods (VerifyStability,
-// TopH, AboveThreshold, ItemRankDistribution, Boundary, VerifyBatch,
-// TopHBatch) are thin wrappers over Do, so mixing surfaces is always safe:
-// results are bit-identical either way at the same seed.
+// TopH, AboveThreshold, ItemRankDistribution, Boundary) are thin wrappers
+// over Do, so mixing surfaces is always safe: results are bit-identical
+// either way at the same seed.
 
 // Query is the sealed union of stability questions accepted by Do and
 // Stream: VerifyQuery, TopHQuery, AboveQuery, ItemRankQuery, BoundaryQuery

@@ -54,12 +54,12 @@ func (rs regionSpec) canonical() string {
 }
 
 // validate enforces the semantic region contract shared by the GET query
-// parameters and the POST /batch body fields: weights must match the dataset
+// parameters and the POST /v1/query body fields: weights must match the dataset
 // dimension, and a present-but-unusable theta/cosine must fail loudly
 // (silently falling back to the full function space would answer a very
 // different question with a 200). thetaSet/cosineSet distinguish "absent"
 // from an explicit zero, which the GET path derives from parameter presence
-// and the batch path from a non-zero JSON field.
+// and the POST path from a non-zero JSON field.
 func (rs regionSpec) validate(d int, thetaSet, cosineSet bool) error {
 	if len(rs.weights) > 0 && len(rs.weights) != d {
 		return errBadRequest("region weights have %d components, dataset has %d attributes", len(rs.weights), d)

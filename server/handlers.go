@@ -105,7 +105,6 @@ func (s *Server) routes() *http.ServeMux {
 	// ServeMux patterns (neither is more specific), so all two-segment /v1
 	// GETs share one dispatcher; "jobs" is therefore a reserved dataset name.
 	mux.HandleFunc("GET /v1/{dataset}/{op}", s.handleV1Get)
-	mux.HandleFunc("POST /batch", s.handleBatch)
 	// The chunk-fill protocol (ping + fill): every node serves fills, so
 	// replicas can be configured as each other's fill workers.
 	mux.Handle("/cluster/v1/", s.fillWorker.Handler())

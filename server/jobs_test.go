@@ -39,6 +39,26 @@ func pollJob(t *testing.T, ts *httptest.Server, id string, deadline time.Duratio
 	return j
 }
 
+// awaitJob polls GET /v1/jobs/{id} until cond holds for the job, failing the
+// test after 10 seconds.
+func awaitJob(t *testing.T, ts *httptest.Server, id string, cond func(jobResponse) bool) {
+	t.Helper()
+	stop := time.Now().Add(10 * time.Second)
+	for {
+		var j jobResponse
+		if code, _ := get(t, ts, "/v1/jobs/"+id, &j); code != http.StatusOK {
+			t.Fatalf("job poll = %d", code)
+		}
+		if cond(j) {
+			return
+		}
+		if time.Now().After(stop) {
+			t.Fatalf("job %s still %s after 10s", id, j.Status)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // deleteJob issues DELETE /v1/jobs/{id} and returns the status code.
 func deleteJob(t *testing.T, ts *httptest.Server, id string) int {
 	t.Helper()
@@ -179,7 +199,8 @@ func TestJobQueueFullAndTTL(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit 1 = %d", code)
 	}
-	time.Sleep(20 * time.Millisecond) // let the worker take j1
+	// Wait until the worker has taken j1, so j2 lands in the queue slot.
+	awaitJob(t, ts, j1.ID, func(j jobResponse) bool { return j.Status == string(jobRunning) })
 	j2, code := submitJob(t, ts, long)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit 2 = %d", code)
@@ -196,6 +217,9 @@ func TestJobQueueFullAndTTL(t *testing.T) {
 	if code := deleteJob(t, ts, j1.ID); code != http.StatusOK {
 		t.Fatalf("delete running = %d", code)
 	}
+	// A cancelled running job records its finish time once the worker has
+	// returned from it; only then is the worker free to drain the queue.
+	awaitJob(t, ts, j1.ID, func(j jobResponse) bool { return j.Finished != nil })
 	quick, code := submitJob(t, ts, `{"dataset":"fig1","queries":[{"op":"toph","h":1}]}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("quick submit = %d", code)

@@ -17,8 +17,7 @@ import (
 // the shared region/seed/samples parameters, and a heterogeneous list of
 // operations; the whole list is answered by one Analyzer.Do call, so every
 // verify and item-rank operation shares a single fused sweep of the sample
-// pool and every enumeration-shaped operation shares one cursor. It
-// supersedes POST /batch (kept for compatibility with a Deprecation header).
+// pool and every enumeration-shaped operation shares one cursor.
 
 // querySpec is one operation in the request's queries list. Op selects the
 // operation; the remaining fields are op-specific and ignored otherwise.
@@ -147,11 +146,15 @@ type compiledQuery struct {
 	req *queryRequest
 }
 
+// maxQueryBody bounds the request body; query requests are parameter lists,
+// not dataset uploads.
+const maxQueryBody = 1 << 20
+
 // readQueryRequest reads and decodes a /v1/query-shaped body with the
 // standard size cap and strictness, returning the raw bytes alongside so a
 // clustered node can replay the body when forwarding to the key's owner.
 func readQueryRequest(w http.ResponseWriter, r *http.Request) ([]byte, *queryRequest, error) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBody))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -24,7 +24,6 @@
 //	GET    /v1/{dataset}/above         Problem 2: rankings with stability >= ?s=
 //	GET    /v1/{dataset}/itemrank      Example 1: rank distribution of ?item=
 //	GET    /v1/{dataset}/rankings      Problem 3: paginated enumeration
-//	POST   /batch                      DEPRECATED: use POST /v1/query
 //	*      /cluster/v1/{ping,fill}     chunk-fill worker protocol (binary)
 //
 // POST /v1/query is the uniform surface over the library's query model: the
@@ -40,9 +39,7 @@
 // Query endpoints share the region parameters ?weights= (comma-separated)
 // with optional ?theta= (hypercone half-angle) or ?cosine= (minimum cosine
 // similarity), plus ?seed= and ?samples=. Identical parameter tuples map to
-// one shared Analyzer and one cache slot. POST /batch remains for
-// compatibility (it answers with a Deprecation header); new clients should
-// send the same operations to POST /v1/query.
+// one shared Analyzer and one cache slot.
 //
 // Datasets are mutable in place: PATCH /v1/datasets/{name} applies a JSON
 // delta list ({"deltas":[{"op":"update","id":"x","attrs":[...]}, ...]})
@@ -122,11 +119,11 @@ type Config struct {
 	// items (default 100).
 	MaxRankingItems int
 	// Workers is the per-analyzer worker count for sample-pool builds and
-	// batch sweeps (default 0 = GOMAXPROCS). Results are deterministic
+	// pool sweeps (default 0 = GOMAXPROCS). Results are deterministic
 	// regardless of this value; it is a throughput knob only.
 	Workers int
-	// MaxBatchOps caps the number of operations in one POST /batch or
-	// POST /v1/query request (default 256; /v1/query answers 413 beyond it).
+	// MaxBatchOps caps the number of operations in one POST /v1/query or
+	// POST /v1/jobs request (default 256; answered 413 beyond it).
 	MaxBatchOps int
 	// MaxStreamRows caps the rankings emitted by one GET /v1/query/stream
 	// response and the enumeration depth of async jobs (default 100,000).

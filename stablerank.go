@@ -55,10 +55,6 @@ type Stable = core.Stable
 // summed. See Analyzer.TopHMerged.
 type MergedStable = core.MergedStable
 
-// BatchVerification is one ranking's outcome within Analyzer.VerifyBatch:
-// either a Verification or that ranking's own error.
-type BatchVerification = core.BatchVerification
-
 // BoundaryFacet is one facet of a ranking region: crossing it swaps exactly
 // the named item pair. See Analyzer.Boundary.
 type BoundaryFacet = md.BoundaryFacet
@@ -99,12 +95,14 @@ func WithSampleCount(n int) Option { return core.WithSampleCount(n) }
 // alpha = 0.05).
 func WithConfidenceLevel(alpha float64) Option { return core.WithConfidenceLevel(alpha) }
 
-// WithWorkers sets how many goroutines shard the Monte-Carlo sample-pool
-// build and the VerifyBatch sweep (default 0 = GOMAXPROCS). Determinism is
-// independent of this knob: the pool is drawn in fixed-size chunks whose RNG
-// streams are seeded from (seed, chunk index), so worker counts 1, 2 and 64
-// all produce bit-identical pools — and therefore identical stability
-// results — for the same seed.
+// WithWorkers sets how many goroutines shard every pass over the
+// Monte-Carlo sample pool: the pool build, the fused and adaptive query
+// sweeps of Do, and the LastDrift score pass (default 0 = GOMAXPROCS).
+// Determinism is independent of this knob: each pass works in fixed-size
+// chunks of pool rows, the pool's RNG streams are seeded from (seed, chunk
+// index), and per-chunk results are merged as exact integer counts or in
+// chunk order, so worker counts 1, 2 and 64 all produce bit-identical pools
+// and answers for the same seed.
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
 // WithAdaptive enables adaptive verification at the given target confidence
@@ -278,27 +276,9 @@ func (a *Analyzer) VerifyStability(ctx context.Context, r Ranking) (Verification
 	return a.core.VerifyStability(orBackground(ctx), r)
 }
 
-// VerifyBatch computes the stability of many rankings in one pass: exact
-// per-ranking scans in two dimensions, otherwise a single sharded sweep of
-// the Monte-Carlo sample pool with every ranking's constraint tests fused —
-// the amortized form of Problem 1 behind the service's POST /batch endpoint.
-// Per-ranking failures (e.g. ErrInfeasibleRanking) are reported in the
-// matching BatchVerification.Err without failing the rest of the batch.
-func (a *Analyzer) VerifyBatch(ctx context.Context, rankings []Ranking) ([]BatchVerification, error) {
-	return a.core.VerifyBatch(orBackground(ctx), rankings)
-}
-
 // TopH returns the h most stable rankings (batch Problem 2, count form).
 func (a *Analyzer) TopH(ctx context.Context, h int) ([]Stable, error) {
 	return a.core.TopH(orBackground(ctx), h)
-}
-
-// TopHBatch answers several top-h queries with one enumeration to the
-// largest requested h; each query receives a prefix of that single pass. The
-// returned slices share one backing enumeration and must be treated as
-// read-only.
-func (a *Analyzer) TopHBatch(ctx context.Context, hs []int) ([][]Stable, error) {
-	return a.core.TopHBatch(orBackground(ctx), hs)
 }
 
 // AboveThreshold returns every ranking with stability >= s (batch Problem 2,
